@@ -115,16 +115,20 @@ func RunCtx(ctx context.Context, workers int, tasks []func()) error {
 		}()
 	}
 	done := ctx.Done()
-dispatch:
 	for _, t := range tasks {
-		select {
-		case <-done:
-			mu.Lock()
-			errs = append(errs, ctx.Err())
-			mu.Unlock()
-			break dispatch
-		case next <- t:
+		// select picks at random among ready cases, so a context that
+		// is already done is checked first: it must never dispatch.
+		if ctx.Err() == nil {
+			select {
+			case <-done:
+			case next <- t:
+				continue
+			}
 		}
+		mu.Lock()
+		errs = append(errs, ctx.Err())
+		mu.Unlock()
+		break
 	}
 	close(next)
 	wg.Wait()

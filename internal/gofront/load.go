@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // sourceFile is one named Go source text.
@@ -274,14 +276,13 @@ func majorityPackage(asts []*ast.File) []*ast.File {
 }
 
 // lenientImporter resolves imports without failing the load: standard
-// library packages come from the compiler's source importer,
-// module-local packages are type-checked from source on demand, and
+// library packages come from the process-wide stdlib importer, others
+// are type-checked from source through this importer on demand, and
 // anything unresolvable becomes an empty, incomplete package whose
 // members the lowering treats as unknown (degrading confidence).
 type lenientImporter struct {
 	fset    *token.FileSet
 	dir     string // directory of the package being loaded ("" = none)
-	std     types.ImporterFrom
 	modRoot string // module root directory ("" = none found)
 	modPath string // module path from go.mod
 	memo    map[string]*types.Package
@@ -297,11 +298,40 @@ func newLenientImporter(fset *token.FileSet, dir string) *lenientImporter {
 		memo:   map[string]*types.Package{},
 		failed: map[string]bool{},
 	}
-	if src, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom); ok {
-		li.std = src
-	}
 	li.modRoot, li.modPath = findModule(dir)
 	return li
+}
+
+// stdlib is the process-wide source importer for the standard library,
+// whose types depend only on the toolchain and GOROOT: every load shares
+// one checked copy. The mutex guards the importer's package map; the
+// packages it returns are complete and only read.
+var stdlib struct {
+	once sync.Once
+	mu   sync.Mutex
+	imp  types.ImporterFrom
+}
+
+// importStd returns a standard-library package, type-checked on its
+// first request in the process, or nil if it does not type-check.
+func importStd(path string) *types.Package {
+	stdlib.once.Do(func() {
+		stdlib.imp = importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+	})
+	stdlib.mu.Lock()
+	defer stdlib.mu.Unlock()
+	if p, err := stdlib.imp.ImportFrom(path, filepath.Join(build.Default.GOROOT, "src"), 0); err == nil {
+		return p
+	}
+	return nil
+}
+
+// isStd reports whether path is a standard-library package: its first
+// element has no dot (the go command's rule) and GOROOT holds it.
+func isStd(path string) bool {
+	first, _, _ := strings.Cut(path, "/")
+	fi, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(path)))
+	return !strings.Contains(first, ".") && err == nil && fi.IsDir()
 }
 
 // findModule walks up from dir to the nearest go.mod and returns its
@@ -341,38 +371,42 @@ func (li *lenientImporter) ImportFrom(path, srcDir string, mode types.ImportMode
 	if p, ok := li.memo[path]; ok {
 		return p, nil
 	}
-	if p := li.resolve(path, srcDir); p != nil {
-		li.memo[path] = p
-		return p, nil
-	}
-	// Incomplete stand-in: selections through it fail to type-check,
-	// which the lowering maps to the unknown-call degradation.
-	li.failed[path] = true
+	// Incomplete stand-in, memoized first so an import cycle ends here:
+	// selections through it fail to type-check (unknown-call degradation).
 	name := path
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
 	}
-	p := types.NewPackage(path, name)
-	li.memo[path] = p
-	return p, nil
+	stand := types.NewPackage(path, name)
+	li.memo[path] = stand
+	if p := li.resolve(path, srcDir); p != nil {
+		li.memo[path] = p
+		return p, nil
+	}
+	li.failed[path] = true
+	return stand, nil
 }
 
 func (li *lenientImporter) resolve(path, srcDir string) *types.Package {
 	// Module-local import: type-check the subdirectory from source
-	// with this same importer (Go imports are acyclic).
+	// with this same importer.
 	if li.modPath != "" && (path == li.modPath || strings.HasPrefix(path, li.modPath+"/")) {
 		sub := strings.TrimPrefix(strings.TrimPrefix(path, li.modPath), "/")
 		dir := filepath.Join(li.modRoot, filepath.FromSlash(sub))
 		return li.checkDir(path, dir)
 	}
-	if li.std == nil {
+	if isStd(path) {
+		return importStd(path)
+	}
+	// Others are checked per load, through li so they share stdlib types.
+	if abs, err := filepath.Abs(srcDir); err == nil {
+		srcDir = abs
+	}
+	bp, err := build.Import(path, srcDir, 0)
+	if err != nil {
 		return nil
 	}
-	p, err := li.std.ImportFrom(path, srcDir, 0)
-	if err != nil || p == nil {
-		return nil
-	}
-	return p
+	return li.check(path, bp.Dir, append(bp.GoFiles, bp.CgoFiles...), true)
 }
 
 // checkDir type-checks a module-local dependency just enough to hand
@@ -382,32 +416,37 @@ func (li *lenientImporter) checkDir(path, dir string) *types.Package {
 	if err != nil {
 		return nil
 	}
-	var asts []*ast.File
-	names := []string{}
+	var names []string
 	for _, e := range ents {
-		if e.IsDir() || !isSourceName(e.Name()) {
-			continue
+		if !e.IsDir() && isSourceName(e.Name()) {
+			names = append(names, e.Name())
 		}
-		names = append(names, e.Name())
 	}
+	return li.check(path, dir, names, false)
+}
+
+// check type-checks the named files of dir as package path on the
+// load's file set. A strict check, like the source importer, ignores
+// function bodies and rejects the package on any parse or type error;
+// a lenient one skips unparsable files and keeps what type-checks.
+func (li *lenientImporter) check(path, dir string, names []string, strict bool) *types.Package {
 	sort.Strings(names)
+	var asts []*ast.File
 	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue
+		switch af, err := parser.ParseFile(li.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution); {
+		case err == nil:
+			asts = append(asts, af)
+		case strict:
+			return nil
 		}
-		af, err := parser.ParseFile(li.fset, filepath.Join(dir, name), string(b), parser.SkipObjectResolution)
-		if err != nil {
-			continue
-		}
-		asts = append(asts, af)
 	}
 	if len(asts) == 0 {
 		return nil
 	}
-	conf := types.Config{Importer: li, FakeImportC: true, Error: func(error) {}}
+	errs := 0
+	conf := types.Config{Importer: li, FakeImportC: true, IgnoreFuncBodies: strict, Error: func(error) { errs++ }}
 	pkg, _ := conf.Check(path, li.fset, asts, nil)
-	if pkg == nil {
+	if pkg == nil || strict && errs > 0 {
 		return nil
 	}
 	pkg.MarkComplete()
