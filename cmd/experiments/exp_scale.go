@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -118,8 +120,12 @@ func expE20(quick bool) {
 
 		run := func() (mod, use *core.CondensedResult) {
 			st := core.BuildStructure(prog)
-			mod = core.AnalyzeCondensed(prog, core.Mod, core.Options{Structure: st})
-			use = core.AnalyzeCondensed(prog, core.Use, core.Options{Structure: st})
+			mod, merr := core.AnalyzeCondensed(context.Background(), prog, core.Mod, core.Options{Structure: st})
+			use, uerr := core.AnalyzeCondensed(context.Background(), prog, core.Use, core.Options{Structure: st})
+			if err := errors.Join(merr, uerr); err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: E20: %v\n", err)
+				os.Exit(1)
+			}
 			return mod, use
 		}
 		run() // warm pools

@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -123,7 +124,10 @@ func TestAnalyzeCondensedMatchesAnalyze(t *testing.T) {
 		for _, kind := range []core.Kind{core.Mod, core.Use} {
 			tag := fmt.Sprintf("size=%d seed=%d depth=%d kind=%v", cfg.Procs, cfg.Seed, cfg.MaxDepth, kind)
 			r := core.Analyze(prog, kind, core.Options{})
-			cr := core.AnalyzeCondensed(prog, kind, core.Options{})
+			cr, err := core.AnalyzeCondensed(context.Background(), prog, kind, core.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
 			sc := bitset.New(prog.NumVars())
 			for _, p := range prog.Procs {
 				sc.Clear()

@@ -16,13 +16,15 @@ import (
 	"sideeffect/internal/section"
 )
 
-// This file is the hardened face of the public API: every entry point
-// here takes a context, never panics, and guarantees that a failed or
-// abandoned analysis cannot corrupt the process-wide arena pool. The
-// plain entry points (Analyze, AnalyzeProgramWith, AnalyzeAll) keep
-// their historical contract — panics propagate — for callers that
-// want fail-fast behavior; they are thin shells over the same
-// pipeline, so the two families cannot drift.
+// This file holds the one analysis pipeline. Every entry point here
+// takes a context, never panics, and guarantees that a failed or
+// abandoned analysis cannot corrupt the process-wide arena pool. Every
+// other entry point (Analyze, AnalyzeWith, AnalyzeProgramWith,
+// NewSession, Session.Edit, AnalyzeAll, AnalyzeAllPrograms and the Go
+// entry points) is a wrapper that calls one of these with
+// context.Background(), so all of them honor Options.Faults and return
+// the same errors. The forms without an error return keep their
+// fail-fast contract by panicking with the pipeline's error.
 
 // asPanicError normalizes a recovered value: captured *batch.PanicError
 // values pass through (keeping the panicking goroutine's stack), raw
@@ -74,9 +76,19 @@ func AnalyzeContext(ctx context.Context, src string, opts Options) (*Analysis, e
 	return AnalyzeProgramContext(ctx, prog.Prune(), opts)
 }
 
-// AnalyzeProgramContext is AnalyzeProgramWith under the hardened
-// contract of AnalyzeContext: cancellable, fault-injectable, total (it
-// returns errors, never panics), and arena-safe on every failure path.
+// AnalyzeProgramContext analyzes an already-built program model
+// without pruning, under the hardened contract of AnalyzeContext:
+// cancellable, fault-injectable, total (it returns errors, never
+// panics), and arena-safe on every failure path.
+//
+// The stage dependency graph has two layers. Mod, Use, and alias
+// factoring read only the immutable program model, so they run
+// concurrently first. The four derived stages each depend on one or
+// two of those results and on nothing else: SecMod and SecUse consume
+// the Mod result (both section problems are driven by Mod's GMOD sets,
+// which fix symbol invariance), and the final per-call-site sets
+// factor each core result through the alias analysis. All reads of
+// the shared inputs are read-only, so the layer runs with no locking.
 func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) (ra *Analysis, err error) {
 	a := &Analysis{Prog: prog}
 	defer func() {
@@ -99,11 +111,18 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	if opts.Profile {
 		popts := []prof.Option{prof.WithLabels()}
 		if opts.workers() == 1 {
+			// Allocation deltas come from runtime.ReadMemStats and are
+			// only attributable to a stage when stages run one at a
+			// time.
 			popts = append(popts, prof.CountAllocs())
 		}
 		a.Stages = prof.New(popts...)
 	}
 	w := opts.workers()
+	// The binding graph, its components, the call graph, and the
+	// per-level subgraphs are identical for the Mod and Use problems;
+	// build them once and let both analyses (running concurrently —
+	// the Structure is read-only) share the skeleton.
 	var st *core.Structure
 	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
 	co := core.Options{Alloc: opts.Alloc, Prof: a.Stages, Structure: st, Faults: opts.Faults, DisableCondensation: opts.DisableCondensation}
@@ -122,17 +141,24 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	return a, nil
 }
 
-// refreshDerivedCtx is refreshDerived with cancellation, fault
-// injection, and panic capture. The derived stages draw from the core
-// results' arenas, so a panic here leaves carve state unknown — the
-// caller's abort path poisons the arenas before any Release.
+// refreshDerivedCtx recomputes the second stage layer — both section
+// problems and the alias-factored per-call-site sets — from the
+// current Mod/Use results and alias analysis, with cancellation, fault
+// injection, and panic capture. Used by the pipeline and by the
+// incremental updater after the core results change. The derived
+// stages draw from the core results' arenas, so a panic here leaves
+// carve state unknown: the arenas are poisoned before the error is
+// returned, and no later Release can pool them.
 func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 	if err := opts.Faults.At("sideeffect.derived"); err != nil {
 		return err
 	}
-	return batch.RunCtx(ctx, opts.workers(), []func(){
+	err := batch.RunCtx(ctx, opts.workers(), []func(){
 		func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
 		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
+		// Factored sets share their core Result's lifetime, so they are
+		// drawn from its arena; each arena is touched by exactly one of
+		// these goroutines.
 		func() {
 			a.Stages.Do("factor.mod", func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) })
 		},
@@ -140,6 +166,11 @@ func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 			a.Stages.Do("factor.use", func() { a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena) })
 		},
 	})
+	var pe *batch.PanicError
+	if errors.As(err, &pe) {
+		a.poisonArenas()
+	}
+	return err
 }
 
 // AnalyzeAllContext is AnalyzeAll with per-request cancellation and
@@ -155,7 +186,7 @@ func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []Batch
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inner := Options{Sequential: true, Alloc: opts.Alloc, Faults: opts.Faults}
+	inner := opts.perProgram()
 	out, err := batch.MapCtx(ctx, opts.workers(), srcs, func(_ int, src string) BatchResult {
 		a, aerr := AnalyzeContext(ctx, src, inner)
 		if aerr == nil {
@@ -163,9 +194,9 @@ func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []Batch
 		}
 		var pe *batch.PanicError
 		if errors.As(aerr, &pe) && ctx.Err() == nil {
-			da, derr := AnalyzeContext(ctx, src, Options{
-				Sequential: true, Alloc: core.AllocDense, Faults: opts.Faults,
-			})
+			degraded := inner
+			degraded.Alloc = core.AllocDense
+			da, derr := AnalyzeContext(ctx, src, degraded)
 			if derr == nil {
 				return BatchResult{Analysis: da, Degraded: true}
 			}
@@ -186,6 +217,26 @@ func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []Batch
 		}
 	}
 	return out
+}
+
+// analyzeAllPrograms is the batch body behind AnalyzeAllPrograms and
+// AnalyzeGoPackages: the AnalyzeAllContext pool over program models,
+// without the degraded retry. On any failure the completed analyses are
+// released and the joined errors returned.
+func analyzeAllPrograms(ctx context.Context, progs []*ir.Program, opts Options) ([]*Analysis, error) {
+	inner := opts.perProgram()
+	errs := make([]error, len(progs))
+	out, err := batch.MapCtx(ctx, opts.workers(), progs, func(i int, p *ir.Program) (a *Analysis) {
+		a, errs[i] = AnalyzeProgramContext(ctx, p, inner)
+		return a
+	})
+	if err = errors.Join(append(errs, err)...); err != nil {
+		for _, a := range out {
+			a.Release()
+		}
+		return nil, err
+	}
+	return out, nil
 }
 
 // LintContext is Lint with cancellation and panic capture: a panic in a
@@ -218,9 +269,9 @@ var ErrSessionBroken = errors.New("sideeffect: session broken by a failed edit; 
 // solution inconsistent. See ErrSessionBroken.
 func (s *Session) Broken() bool { return s.broken }
 
-// NewSessionContext is NewSession under the hardened pipeline:
-// cancellable and total. A failed construction leaves nothing checked
-// out.
+// NewSessionContext parses, checks, and analyzes src under the
+// hardened pipeline and holds it open for edits: cancellable and total.
+// A failed construction leaves nothing checked out.
 func NewSessionContext(ctx context.Context, src string, opts Options) (*Session, error) {
 	a, err := AnalyzeContext(ctx, src, opts)
 	if err != nil {
@@ -229,7 +280,9 @@ func NewSessionContext(ctx context.Context, src string, opts Options) (*Session,
 	return &Session{opts: opts, src: src, inc: NewIncrementalWith(a, opts)}, nil
 }
 
-// EditContext is Edit with transactional failure semantics under
+// EditContext replaces the session's source text and brings the
+// analysis up to date, incrementally when the edit is additive and by
+// full reanalysis otherwise, with transactional failure semantics under
 // cancellation and fault injection:
 //
 //   - a parse/semantic error, or any failure before the maintained
@@ -294,12 +347,6 @@ func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode
 		}
 	}
 	if err := s.inc.a.refreshDerivedCtx(ctx, s.opts); err != nil {
-		var pe *batch.PanicError
-		if errors.As(err, &pe) {
-			// The panic tore a derived stage mid-carve; the arenas must
-			// not be pooled when the fallback releases this analysis.
-			s.inc.a.poisonArenas()
-		}
 		mode, ferr := s.editFullCtx(ctx, prog, newSrc, true)
 		if ferr == nil {
 			return mode, nil

@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -37,7 +38,10 @@ func AnalyzeGoPackages(patterns []string, opts Options) ([]GoResult, error) {
 	for i, p := range pkgs {
 		progs[i] = p.Prog
 	}
-	analyses := AnalyzeAllPrograms(progs, opts)
+	analyses, err := analyzeAllPrograms(context.Background(), progs, opts)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]GoResult, len(pkgs))
 	for i := range pkgs {
 		out[i] = GoResult{Pkg: pkgs[i], Analysis: analyses[i]}
@@ -55,7 +59,7 @@ func AnalyzeGoModule(root string, patterns []string, opts Options) (GoResult, er
 	if err != nil {
 		return GoResult{}, err
 	}
-	return GoResult{Pkg: pkg, Analysis: AnalyzeProgramWith(pkg.Prog, opts)}, nil
+	return analyzeGoPackage(pkg, opts)
 }
 
 // moduleRootHint picks the directory LoadModule starts its go.mod
@@ -82,7 +86,16 @@ func AnalyzeGoSource(name, src string, opts Options) (GoResult, error) {
 	if err != nil {
 		return GoResult{}, err
 	}
-	return GoResult{Pkg: pkg, Analysis: AnalyzeProgramWith(pkg.Prog, opts)}, nil
+	return analyzeGoPackage(pkg, opts)
+}
+
+// analyzeGoPackage runs the pipeline on one lowered package.
+func analyzeGoPackage(pkg *gofront.Package, opts Options) (GoResult, error) {
+	a, err := AnalyzeProgramContext(context.Background(), pkg.Prog, opts)
+	if err != nil {
+		return GoResult{}, err
+	}
+	return GoResult{Pkg: pkg, Analysis: a}, nil
 }
 
 // GoReport renders the standard analysis report for a Go package,

@@ -1,13 +1,13 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"sideeffect/internal/alias"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
-	"sideeffect/internal/lang/sem"
 )
 
 // Effect selects which side of an incremental update a new local fact
@@ -86,7 +86,9 @@ func (inc *Incremental) AddLocalEffect(proc, variable string, effect Effect) ([]
 	if err != nil {
 		return nil, err
 	}
-	inc.a.refreshDerived(inc.opts)
+	if err := inc.a.refreshDerivedCtx(context.Background(), inc.opts); err != nil {
+		return nil, err
+	}
 	return changed, nil
 }
 
@@ -190,13 +192,9 @@ type Session struct {
 }
 
 // NewSession parses, checks, and analyzes src and holds it open for
-// edits.
+// edits. It is NewSessionContext without a deadline.
 func NewSession(src string, opts Options) (*Session, error) {
-	a, err := AnalyzeWith(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{opts: opts, src: src, inc: NewIncrementalWith(a, opts)}, nil
+	return NewSessionContext(context.Background(), src, opts)
 }
 
 // Analysis returns the session's current analysis.
@@ -207,51 +205,12 @@ func (s *Session) Source() string { return s.src }
 
 // Edit replaces the session's source text and brings the analysis up
 // to date, incrementally when the edit is additive and by full
-// reanalysis otherwise. On a parse or semantic error the session is
-// left unchanged and the error is returned.
+// reanalysis otherwise. It is EditContext without a deadline: on a
+// parse or semantic error the session is left unchanged and the error
+// is returned. A Session owns its analysis across edits, so a caller
+// must not hold sets from before an Edit.
 func (s *Session) Edit(newSrc string) (EditMode, error) {
-	if s.broken {
-		return EditFull, ErrSessionBroken
-	}
-	prog, err := sem.AnalyzeSource(newSrc)
-	if err != nil {
-		return EditFull, fmt.Errorf("sideeffect: %w", err)
-	}
-	prog = prog.Prune()
-	modAdds, useAdds, ok := ir.AdditiveDelta(s.inc.a.Prog, prog)
-	if !ok {
-		return s.editFull(prog, newSrc), nil
-	}
-	s.inc.rebase(prog)
-	for _, d := range modAdds {
-		if _, err := s.inc.mod.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			// Cannot happen for AdditiveDelta-certified programs
-			// (visibility is guaranteed); recover by reanalyzing rather
-			// than serving a half-updated solution.
-			return s.editFull(prog, newSrc), nil
-		}
-	}
-	for _, d := range useAdds {
-		if _, err := s.inc.use.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFull(prog, newSrc), nil
-		}
-	}
-	s.inc.a.refreshDerived(s.opts)
-	s.src = newSrc
-	return EditIncremental, nil
-}
-
-// editFull replaces the session's analysis with a fresh one of prog.
-// The superseded analysis is released: a Session owns its analysis
-// across edits (incremental edits already mutate it in place), so a
-// caller must not hold sets from before an Edit either way.
-func (s *Session) editFull(prog *ir.Program, src string) EditMode {
-	old := s.inc.a
-	a := AnalyzeProgramWith(prog, s.opts)
-	s.inc = NewIncrementalWith(a, s.opts)
-	s.src = src
-	old.Release()
-	return EditFull
+	return s.EditContext(context.Background(), newSrc)
 }
 
 // Close releases the session's analysis storage back to the pool. The

@@ -267,10 +267,3 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
-
-func must(xs []string, err error) []string {
-	if err != nil {
-		panic(err)
-	}
-	return xs
-}

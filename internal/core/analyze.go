@@ -101,79 +101,99 @@ func Analyze(prog *ir.Program, kind Kind, opts Options) *Result {
 	return r
 }
 
-// AnalyzeCtx is Analyze with deadline propagation and fault isolation.
+// AnalyzeCtx is Analyze with deadline propagation and fault isolation;
+// runStages documents the contract.
+func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) (*Result, error) {
+	return runStages(ctx, prog, kind, opts, func(s *stages) (*Result, bool) {
+		r := &Result{Prog: s.prog, Kind: kind, Facts: s.facts, Beta: s.st.Beta, CG: s.st.CG,
+			RMOD: s.rmod, IMODPlus: s.imodPlus, Arena: s.al.ar}
+		return r, s.step("gmod", func() {
+			r.GMOD, r.GMODStats = solveGMODMultiLevel(s.st, s.facts, s.imodPlus, s.al, opts.DisableCondensation)
+		}) && s.step("dmod", func() { r.DMOD = computeDMOD(s.prog, s.rmod, r.GMOD, s.facts, s.al) })
+	})
+}
+
+// stages is one problem's run through runStages. The solved fields
+// fill in pipeline order; a tail reads them to build its result.
+type stages struct {
+	ctx  context.Context
+	opts Options
+	pfx  string
+	err  error
+
+	prog     *ir.Program
+	st       *Structure
+	al       setAlloc
+	facts    *Facts
+	rmod     *RMOD
+	imodPlus []*bitset.Set
+}
+
+// step guards one stage: fault point first (so chaos runs can hit a
+// stage even when the context is healthy), then the deadline. It
+// reports whether the stage ran.
+func (s *stages) step(stage string, f func()) bool {
+	if s.err == nil {
+		s.err = s.opts.Faults.At("core." + s.pfx + stage)
+	}
+	if s.err == nil && s.ctx != nil {
+		s.err = s.ctx.Err()
+	}
+	if s.err != nil {
+		return false
+	}
+	s.opts.Prof.Do(s.pfx+stage, f)
+	return true
+}
+
+// runStages is the one stage runner behind AnalyzeCtx and
+// AnalyzeCondensed: prune, structure, facts, RMOD (Figure 1) and IMOD+
+// (equation 5), then tail, which builds the caller's result form and
+// solves GMOD — and DMOD, if that form stores it — through step.
+//
 // The context is consulted at every stage boundary (the stages are the
 // cost units of the paper's complexity argument, so a deadline is
-// honored within one linear sub-pass): a cancelled analysis stops,
-// returns its arena to the process-wide pool — no set has escaped yet,
-// so the slabs are clean — and reports ctx.Err(). Injected faults
-// (Options.Faults) surface the same way, except injected panics, which
-// propagate to the caller after the arena is poisoned so a recovery
-// layer can never recycle slabs whose carve state is unknown.
-func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) (_ *Result, err error) {
-	pfx := strings.ToLower(kind.String()) + "."
-	p := opts.Prof
-	al := setAlloc{}
-	// Arena-safe recovery: a panic anywhere in the pipeline (injected
-	// or genuine) poisons the checked-out arena before unwinding. The
-	// panic itself still propagates — converting it to an error is the
-	// public layer's job — but the pool is protected no matter who
-	// recovers above us.
+// honored within one linear sub-pass). A cancelled or faulted run
+// reports the cause and returns its arena to the pool. A panic, injected
+// or genuine, poisons the arena and propagates: converting it to an
+// error is the public layer's job, but no recovery layer can recycle
+// slabs whose carve state is unknown.
+func runStages[R any](ctx context.Context, prog *ir.Program, kind Kind, opts Options, tail func(*stages) (*R, bool)) (*R, error) {
+	s := &stages{ctx: ctx, opts: opts, pfx: strings.ToLower(kind.String()) + "."}
 	defer func() {
 		if rec := recover(); rec != nil {
-			al.ar.Poison()
+			s.al.ar.Poison()
 			// Route the poisoned arena through Put so the pool's
 			// accounting closes (Gets = Puts + PoisonDropped): Put
 			// refuses poisoned arenas, it only records the drop.
-			arena.Put(al.ar)
+			arena.Put(s.al.ar)
 			panic(rec)
 		}
 	}()
-	// step guards one stage: fault point first (so chaos runs can hit
-	// a stage even when the context is healthy), then the deadline.
-	step := func(stage string, f func()) bool {
-		if err == nil {
-			err = opts.Faults.At("core." + pfx + stage)
+	var r *R
+	ok := !opts.Prune || s.step("prune", func() { prog = prog.Prune() })
+	if ok {
+		s.prog, s.al = prog, newSetAlloc(opts.Alloc, prog.NumVars())
+		st := opts.Structure
+		if st == nil || st.Prog != prog {
+			st = &Structure{Prog: prog}
+			ok = s.step("beta", func() { st.Beta = binding.Build(prog); st.BetaSCC = st.Beta.G.SCC() }) &&
+				s.step("callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
 		}
-		if err == nil && ctx != nil {
-			err = ctx.Err()
+		s.st = st
+		ok = ok &&
+			s.step("facts", func() { s.facts = computeFacts(prog, kind, s.al) }) &&
+			s.step("rmod", func() { s.rmod = solveRMOD(st.Beta, s.facts, st.BetaSCC) }) &&
+			s.step("imod+", func() { s.imodPlus = computeIMODPlus(s.facts, s.rmod, s.al) })
+		if ok {
+			r, ok = tail(s)
 		}
-		if err != nil {
-			return false
-		}
-		p.Do(pfx+stage, f)
-		return true
 	}
-	if opts.Prune {
-		if !step("prune", func() { prog = prog.Prune() }) {
-			return nil, fmt.Errorf("core: %s analysis aborted: %w", pfx[:len(pfx)-1], err)
-		}
-	}
-	al = newSetAlloc(opts.Alloc, prog.NumVars())
-	r := &Result{Prog: prog, Kind: kind, Arena: al.ar}
-	st := opts.Structure
-	ok := true
-	if st == nil || st.Prog != prog {
-		st = &Structure{Prog: prog}
-		ok = ok && step("beta", func() { st.Beta = binding.Build(prog); st.BetaSCC = st.Beta.G.SCC() })
-		ok = ok && step("callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
-	}
-	r.Beta, r.CG = st.Beta, st.CG
-	ok = ok && step("facts", func() { r.Facts = computeFacts(prog, kind, al) })
-	ok = ok && step("rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.BetaSCC) })
-	ok = ok && step("imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, al) })
-	ok = ok && step("gmod", func() {
-		r.GMOD, r.GMODStats = solveGMODMultiLevel(st, r.Facts, r.IMODPlus, al, opts.DisableCondensation)
-	})
-	ok = ok && step("dmod", func() { r.DMOD = computeDMOD(prog, r.RMOD, r.GMOD, r.Facts, al) })
 	if !ok {
 		// The aborted result never escaped: every set carved so far is
-		// private to this call, so the arena can recycle immediately.
-		if al.ar != nil {
-			r.Arena = nil
-			arena.Put(al.ar)
-		}
-		return nil, fmt.Errorf("core: %s analysis aborted: %w", pfx[:len(pfx)-1], err)
+		// private to this run, so the arena can recycle immediately.
+		arena.Put(s.al.ar)
+		return nil, fmt.Errorf("core: %s analysis aborted: %w", s.pfx[:len(s.pfx)-1], s.err)
 	}
 	return r, nil
 }

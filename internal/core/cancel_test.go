@@ -97,3 +97,16 @@ func TestAnalyzeCtxIdentity(t *testing.T) {
 		want.Release()
 	}
 }
+
+// TestAnalyzeCondensedCancelled: the condensed entry point runs the
+// same stage runner as AnalyzeCtx, so a cancelled context stops it
+// with ctx.Err().
+func TestAnalyzeCondensedCancelled(t *testing.T) {
+	prog := workload.Random(workload.DefaultConfig(20, 4))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r, err := AnalyzeCondensed(ctx, prog, Mod, Options{})
+	if r != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled AnalyzeCondensed = %v, %v", r, err)
+	}
+}

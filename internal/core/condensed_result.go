@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"sideeffect/internal/binding"
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/callgraph"
@@ -51,75 +53,42 @@ type escLevel struct {
 	perNode []*bitset.Set
 }
 
-// AnalyzeCondensed runs the same pipeline as Analyze but keeps the
-// GMOD solution in condensed form; it is the giant-graph entry point.
-// Of the options, Prune, Prof, Structure, and DisableCondensation are
-// honored (the latter forces the per-node fallback layer, for
-// differential tests); allocation is always the hybrid policy — the
-// condensed store is itself the memory optimization, and tying it to
-// an arena would pin slabs for the result's lifetime. Callers needing
-// cancellation or fault injection use AnalyzeCtx, whose Result this
-// matches row for row.
-func AnalyzeCondensed(prog *ir.Program, kind Kind, opts Options) *CondensedResult {
-	pfx := "mod."
-	if kind == Use {
-		pfx = "use."
-	}
-	p := opts.Prof
-	if opts.Prune {
-		p.Do(pfx+"prune", func() { prog = prog.Prune() })
-	}
-	al := newSetAlloc(AllocHybrid, prog.NumVars())
-	r := &CondensedResult{Prog: prog, Kind: kind}
-	st := opts.Structure
-	if st == nil || st.Prog != prog {
-		st = &Structure{Prog: prog}
-		p.Do(pfx+"beta", func() { st.Beta = binding.Build(prog); st.BetaSCC = st.Beta.G.SCC() })
-		p.Do(pfx+"callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
-	}
-	r.Beta, r.CG = st.Beta, st.CG
-	p.Do(pfx+"facts", func() { r.Facts = computeFacts(prog, kind, al) })
-	p.Do(pfx+"rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.BetaSCC) })
-	p.Do(pfx+"imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, al) })
-	p.Do(pfx+"gmod", func() { r.solveLevels(st, al, opts.DisableCondensation) })
-	return r
+// AnalyzeCondensed runs the same stages as AnalyzeCtx, under the same
+// cancellation, fault-injection and panic discipline, but keeps the
+// GMOD solution in condensed form and leaves DMOD to DMODInto; it is
+// the giant-graph entry point. Allocation is always the hybrid policy
+// — the condensed store is itself the memory optimization, and tying
+// it to an arena would pin slabs for the result's lifetime — and
+// DisableCondensation forces the per-node fallback layer, for
+// differential tests. The result matches AnalyzeCtx's row for row.
+func AnalyzeCondensed(ctx context.Context, prog *ir.Program, kind Kind, opts Options) (*CondensedResult, error) {
+	opts.Alloc = AllocHybrid
+	return runStages(ctx, prog, kind, opts, func(s *stages) (*CondensedResult, bool) {
+		r := &CondensedResult{Prog: s.prog, Kind: kind, Facts: s.facts, Beta: s.st.Beta, CG: s.st.CG,
+			RMOD: s.rmod, IMODPlus: s.imodPlus}
+		return r, s.step("gmod", func() { r.solveLevels(s.st, s.al, opts.DisableCondensation) })
+	})
 }
 
 // solveLevels runs the per-level findgmod passes, retaining each
 // level's escape layer instead of folding it into per-node rows.
 func (r *CondensedResult) solveLevels(st *Structure, al setAlloc, noCondense bool) {
-	prog := r.Prog
-	dP := prog.MaxLevel()
-	runLevel := func(lvl int, seeds []*bitset.Set, checkScope bool) {
+	for lvl := range st.Levels {
+		seeds := levelSeeds(st, r.IMODPlus, al, lvl)
+		var layer escLevel
+		var stats GMODStats
+		ok := false
 		if !noCondense {
-			et, stats, ok := solveCondensed(st.Levels[lvl], st.levelSCC(lvl), seeds, r.Facts.Local, prog.Vars, checkScope)
-			if ok {
-				r.levels = append(r.levels, escLevel{esc: et})
-				r.GMODStats = append(r.GMODStats, stats)
-				return
-			}
+			layer.esc, stats, ok = solveCondensed(st.Levels[lvl], st.levelSCC(lvl), seeds, r.Facts.Local, r.Prog.Vars, st.ClassVars == nil)
 		}
-		// Per-node fallback: FindGMOD's freshly cloned rows are safe to
-		// retain (the multi-level seeds below are temporaries).
-		gmod, stats := FindGMOD(st.Levels[lvl], seeds, r.Facts.Local, prog.Main.ID)
-		r.levels = append(r.levels, escLevel{perNode: gmod})
+		if !ok {
+			// Per-node fallback: FindGMOD's freshly cloned rows are safe
+			// to retain (nested programs' seeds are temporaries).
+			layer.perNode, stats = FindGMOD(st.Levels[lvl], seeds, r.Facts.Local, r.Prog.Main.ID)
+		}
+		r.levels = append(r.levels, layer)
 		r.GMODStats = append(r.GMODStats, stats)
-	}
-	if dP == 0 {
-		runLevel(0, r.IMODPlus, true)
-		return
-	}
-	for lvl := 0; lvl <= dP; lvl++ {
-		seeds := make([]*bitset.Set, prog.NumProcs())
-		for _, pr := range prog.Procs {
-			s := al.tempCopy(r.IMODPlus[pr.ID])
-			s.IntersectWith(st.ClassVars[lvl])
-			seeds[pr.ID] = s
-		}
-		runLevel(lvl, seeds, false)
-		for i := range seeds {
-			al.tempDone(seeds[i])
-		}
+		doneSeeds(st, seeds, al)
 	}
 }
 

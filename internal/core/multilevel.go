@@ -46,8 +46,6 @@ func SolveGMODMultiLevel(cg *callgraph.CallGraph, facts *Facts, imodPlus []*bits
 // noCondense forces the per-node solver (the differential baseline).
 func solveGMODMultiLevel(st *Structure, facts *Facts, imodPlus []*bitset.Set, al setAlloc, noCondense bool) ([]*bitset.Set, []GMODStats) {
 	prog := st.Prog
-	dP := prog.MaxLevel()
-
 	// Every procedure's own direct and ref-parameter effects are in
 	// its GMOD regardless of levels.
 	result := make([]*bitset.Set, prog.NumProcs())
@@ -63,8 +61,8 @@ func solveGMODMultiLevel(st *Structure, facts *Facts, imodPlus []*bitset.Set, al
 	// never-validated IR) falls through to the per-node search. Under
 	// a pooled policy that fallback runs on a recycled solver; under
 	// the dense baseline it clones every set.
-	runLevel := func(lvl int, seeds, locals []*bitset.Set, checkScope bool, roots ...int) GMODStats {
-		g := st.Levels[lvl]
+	runLevel := func(lvl int, seeds []*bitset.Set, checkScope bool) GMODStats {
+		g, locals, root := st.Levels[lvl], facts.Local, prog.Main.ID
 		if !noCondense {
 			et, stats, ok := solveCondensed(g, st.levelSCC(lvl), seeds, locals, prog.Vars, checkScope)
 			if ok {
@@ -76,43 +74,55 @@ func solveGMODMultiLevel(st *Structure, facts *Facts, imodPlus []*bitset.Set, al
 			}
 		}
 		if al.pooled() {
-			run, stats := FindGMODScratch(g, seeds, locals, roots...)
+			run, stats := FindGMODScratch(g, seeds, locals, root)
 			for i, s := range run.Sets {
 				result[i].UnionWith(s)
 			}
 			run.Release()
 			return stats
 		}
-		gmod, stats := FindGMOD(g, seeds, locals, roots...)
+		gmod, stats := FindGMOD(g, seeds, locals, root)
 		for i, s := range gmod {
 			result[i].UnionWith(s)
 		}
 		return stats
 	}
 
-	if dP == 0 {
-		stats := runLevel(0, imodPlus, facts.Local, true, prog.Main.ID)
-		return result, []GMODStats{stats}
-	}
-
-	var allStats []GMODStats
-	for lvl := 0; lvl <= dP; lvl++ {
-		// Problem lvl: st.Levels[lvl] has dropped the edges that invoke
-		// a procedure declared at a level shallower than lvl; the seeds
-		// restrict IMOD+ to the variables whose lifetime that problem
-		// tracks (scope class lvl), which is also what makes the
-		// condensed pass's premise structural: every callee on a
-		// surviving edge declares its names at class ≥ lvl+1.
-		seeds := make([]*bitset.Set, prog.NumProcs())
-		for _, p := range prog.Procs {
-			s := al.tempCopy(imodPlus[p.ID])
-			s.IntersectWith(st.ClassVars[lvl])
-			seeds[p.ID] = s
-		}
-		allStats = append(allStats, runLevel(lvl, seeds, facts.Local, false, prog.Main.ID))
-		for i := range seeds {
-			al.tempDone(seeds[i])
-		}
+	allStats := make([]GMODStats, len(st.Levels))
+	for lvl := range st.Levels {
+		seeds := levelSeeds(st, imodPlus, al, lvl)
+		allStats[lvl] = runLevel(lvl, seeds, st.ClassVars == nil)
+		doneSeeds(st, seeds, al)
 	}
 	return result, allStats
+}
+
+// levelSeeds returns the seeds of findgmod problem lvl. A flat program
+// has one problem, seeded with IMOD+ itself. In a nested program
+// st.Levels[lvl] has dropped the edges that invoke a procedure
+// declared at a level shallower than lvl, and the seeds restrict IMOD+
+// to the variables whose lifetime that problem tracks (scope class
+// lvl), which is also what makes the condensed pass's premise
+// structural: every callee on a surviving edge declares its names at
+// class ≥ lvl+1. Release the seeds with doneSeeds.
+func levelSeeds(st *Structure, imodPlus []*bitset.Set, al setAlloc, lvl int) []*bitset.Set {
+	if st.ClassVars == nil {
+		return imodPlus
+	}
+	seeds := make([]*bitset.Set, len(imodPlus))
+	for i, s := range imodPlus {
+		seeds[i] = al.tempCopy(s)
+		seeds[i].IntersectWith(st.ClassVars[lvl])
+	}
+	return seeds
+}
+
+// doneSeeds releases the temporaries levelSeeds drew for a nested
+// program.
+func doneSeeds(st *Structure, seeds []*bitset.Set, al setAlloc) {
+	if st.ClassVars != nil {
+		for _, s := range seeds {
+			al.tempDone(s)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package indexer
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -112,7 +113,11 @@ func (ix *Indexer) analyzeModule() {
 		ix.bumpWarm()
 		return
 	}
-	a := sideeffect.AnalyzeProgramWith(pkg.Prog, ix.cfg.Opts)
+	a, err := sideeffect.AnalyzeProgramContext(context.Background(), pkg.Prog, ix.cfg.Opts)
+	if err != nil {
+		ix.fail(st, err)
+		return
+	}
 	defer a.Release()
 	snap, err := store.BuildEntry(a, st.key, "go-module", pkg.Notes, pkg.ConfidenceReport())
 	if err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
@@ -137,5 +138,26 @@ func TestLintGo(t *testing.T) {
 	}
 	if !strings.Contains(resp.Rendered, "source.go") {
 		t.Errorf("rendered output not attributed to source.go:\n%s", resp.Rendered)
+	}
+}
+
+// TestAnalyzeGoHonorsContext pins the Go branch to the hardened
+// pipeline: with the request context already cancelled, the cache
+// fill must stop with the timeout error and cache nothing, exactly as
+// the MiniPL branch does.
+func TestAnalyzeGoHonorsContext(t *testing.T) {
+	srv := New(Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	entry, key, _, apiErr := srv.analyzeCachedLang(ctx, "go", goSrvSrc)
+	if entry != nil {
+		entry.release()
+		t.Fatal("cancelled Go analysis returned an entry")
+	}
+	if apiErr == nil || apiErr.Code != "timeout" {
+		t.Fatalf("cancelled Go analysis: error %+v, want code timeout", apiErr)
+	}
+	if srv.HasEntry(key) {
+		t.Fatal("cancelled Go analysis left a cache entry")
 	}
 }

@@ -11,7 +11,7 @@
 //     deduplication; responses carry the full JSON report or the answer
 //     to one query (gmod/guse/rmod/callsites/report).
 //   - POST /batch — many sources fanned out over the bounded worker
-//     pool (sideeffect.AnalyzeAll), each entry consulting the cache.
+//     pool (sideeffect.AnalyzeAllContext), each entry consulting the cache.
 //   - /session — stateful handles that hold a program open and absorb
 //     edits through sideeffect.Session: additive edits ride the
 //     incremental engine, anything else falls back to full reanalysis.
@@ -43,6 +43,8 @@ import (
 	"sideeffect/internal/core"
 	"sideeffect/internal/faultinject"
 	"sideeffect/internal/gofront"
+	"sideeffect/internal/ir"
+	"sideeffect/internal/lang/sem"
 	"sideeffect/internal/report"
 	"sideeffect/internal/store"
 )
@@ -194,16 +196,6 @@ func fingerprint(a *sideeffect.Analysis) uint64 {
 func newCached(a *sideeffect.Analysis) *cached {
 	e := &cached{a: a, lang: "minipl", sum: fingerprint(a)}
 	e.refs.Store(1)
-	return e
-}
-
-// newCachedGo wraps a Go-package analysis, keeping the frontend's
-// confidence notes alongside the analysis.
-func newCachedGo(r sideeffect.GoResult) *cached {
-	e := newCached(r.Analysis)
-	e.lang = "go"
-	e.notes = r.Pkg.Notes
-	e.conf = r.Pkg.ConfidenceReport()
 	return e
 }
 
@@ -642,50 +634,23 @@ func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 	return nil
 }
 
-// analyzeCached resolves src through the cache under the request
-// context: a hit returns immediately; a miss computes on the worker
-// options with the deadline threaded through every pipeline stage;
-// concurrent identical requests share one computation. A miss whose
-// first attempt dies with a captured panic is retried once in degraded
-// mode (sequential, dense allocation, nothing pooled) before the
-// request fails. The computation runs on the request's own goroutine —
-// a cancelled request stops at the next stage boundary, releases its
-// arena, and frees its admission slot; nothing is left running in the
-// background. Dedup waiters share the leader's outcome, errors
-// included; errors are never cached, so the next request retries.
-// On success the caller owns one reference on the returned entry and
-// must release it when done reading.
-func (s *Server) analyzeCached(ctx context.Context, src string) (*cached, string, cache.Outcome, *apiError) {
-	key := cache.Key(src)
-	entry, outcome, err := s.cache.Do(key, func() (*cached, error) {
-		start := time.Now()
-		// Cache misses run profiled so /metrics can attribute analysis
-		// time to pipeline stages.
-		popts := s.opts
-		popts.Profile = true
-		a, err := sideeffect.AnalyzeContext(ctx, src, popts)
+// lower is the cache fill's frontend step. MiniPL source is parsed,
+// checked and pruned as sideeffect.AnalyzeContext does; Go source
+// lowers as a single-file package, returned too so its notes and
+// confidence table ride along on the cache entry.
+func lower(lang, src string) (*ir.Program, *gofront.Package, error) {
+	if lang == "go" {
+		pkg, err := gofront.AnalyzeSource("source.go", src)
 		if err != nil {
-			var pe *batch.PanicError
-			if !errors.As(err, &pe) || ctx.Err() != nil {
-				return nil, err
-			}
-			a, err = sideeffect.AnalyzeContext(ctx, src, sideeffect.Options{
-				Sequential: true, Alloc: core.AllocDense, Profile: true, Faults: s.opts.Faults,
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.met.degradedRetry()
+			return nil, nil, err
 		}
-		s.met.observeAnalysis(time.Since(start).Seconds())
-		s.met.observeStages(a.Stages.Snapshot())
-		s.met.observeGMODWork(a.GMODWork())
-		return newCached(a), nil
-	})
-	if err != nil {
-		return nil, key, outcome, errFrom(err)
+		return pkg.Prog, pkg, nil
 	}
-	return entry, key, outcome, nil
+	prog, err := sem.AnalyzeSource(src)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sideeffect: %w", err)
+	}
+	return prog.Prune(), nil, nil
 }
 
 // goCacheKey derives the cache address of a single-file Go analysis.
@@ -699,32 +664,63 @@ func goCacheKey(src string) string {
 	return cache.Key(fmt.Sprintf("go\x00v%d\x00", gofront.LoweringVersion) + src)
 }
 
-// analyzeCachedLang dispatches by input language: "" and "minipl" use
-// the MiniPL path (and its cache namespace); "go" lowers the source as
-// a single-file Go package under a language-prefixed cache key, so the
-// two frontends can never serve each other's entries. The Go key is
-// content-addressed over the same bytes the package hash covers.
+// analyzeCachedLang resolves src through the cache under the request
+// context. lang "" and "minipl" select the MiniPL frontend and cache
+// namespace; "go" selects the Go frontend under a language-prefixed
+// key, so the two frontends never serve each other's entries.
+//
+// A hit returns immediately; a miss runs the frontend step and then
+// the pipeline with the deadline threaded through every stage, and
+// concurrent identical requests share one computation. A miss whose
+// first attempt dies with a captured panic is retried once in degraded
+// mode (sequential, dense allocation, nothing pooled). The computation
+// runs on the request's own goroutine: a cancelled request stops at the
+// next stage boundary, releases its arena, and frees its admission
+// slot. Errors are never cached, so the next request retries. On
+// success the caller owns one reference on the returned entry and must
+// release it when done reading.
 func (s *Server) analyzeCachedLang(ctx context.Context, lang, src string) (*cached, string, cache.Outcome, *apiError) {
+	var key string
 	switch lang {
 	case "", "minipl":
-		return s.analyzeCached(ctx, src)
+		key = cache.Key(src)
 	case "go":
+		key = goCacheKey(src)
 	default:
 		return nil, "", 0, errBadRequest("unknown lang %q (want minipl or go)", lang)
 	}
-	key := goCacheKey(src)
 	entry, outcome, err := s.cache.Do(key, func() (*cached, error) {
 		start := time.Now()
-		popts := s.opts
-		popts.Profile = true
-		res, err := sideeffect.AnalyzeGoSource("source.go", src, popts)
+		prog, pkg, err := lower(lang, src)
 		if err != nil {
 			return nil, err
 		}
+		// Cache misses run profiled so /metrics can attribute analysis
+		// time to pipeline stages.
+		popts := s.opts
+		popts.Profile = true
+		a, err := sideeffect.AnalyzeProgramContext(ctx, prog, popts)
+		if err != nil {
+			var pe *batch.PanicError
+			if !errors.As(err, &pe) || ctx.Err() != nil {
+				return nil, err
+			}
+			a, err = sideeffect.AnalyzeProgramContext(ctx, prog, sideeffect.Options{
+				Sequential: true, Alloc: core.AllocDense, Profile: true, Faults: s.opts.Faults,
+			})
+			if err != nil {
+				return nil, err
+			}
+			s.met.degradedRetry()
+		}
 		s.met.observeAnalysis(time.Since(start).Seconds())
-		s.met.observeStages(res.Analysis.Stages.Snapshot())
-		s.met.observeGMODWork(res.Analysis.GMODWork())
-		return newCachedGo(res), nil
+		s.met.observeStages(a.Stages.Snapshot())
+		s.met.observeGMODWork(a.GMODWork())
+		e := newCached(a)
+		if pkg != nil {
+			e.lang, e.notes, e.conf = "go", pkg.Notes, pkg.ConfidenceReport()
+		}
+		return e, nil
 	})
 	if err != nil {
 		return nil, key, outcome, errFrom(err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"time"
 
 	"sideeffect"
@@ -71,7 +72,7 @@ func (s *Server) ImportCheckpoint(cp *store.Checkpoint) (entries, sessions int) 
 	}
 	s.sessions.advance(cp.NextSession)
 	for _, ss := range cp.Sessions {
-		sess, err := sideeffect.NewSession(ss.Source, s.opts)
+		sess, err := sideeffect.NewSessionContext(context.Background(), ss.Source, s.opts)
 		if err != nil {
 			continue
 		}

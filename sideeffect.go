@@ -21,6 +21,7 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -30,7 +31,6 @@ import (
 	"sideeffect/internal/core"
 	"sideeffect/internal/faultinject"
 	"sideeffect/internal/ir"
-	"sideeffect/internal/lang/sem"
 	"sideeffect/internal/prof"
 	"sideeffect/internal/report"
 	"sideeffect/internal/section"
@@ -70,11 +70,11 @@ type Options struct {
 	GoModule bool
 	// Faults, when non-nil, injects deterministic seed-driven faults at
 	// the pipeline's stage boundaries for chaos testing (see
-	// internal/faultinject). Only the context-aware entry points
-	// (AnalyzeContext and friends) honor it: they convert injected
-	// panics into errors after poisoning any affected arena, so a
-	// faulted run never corrupts pooled storage. Production runs leave
-	// this nil.
+	// internal/faultinject). Every entry point runs the one hardened
+	// pipeline, so every entry point honors it: an injected panic is
+	// captured after any affected arena is poisoned and surfaces like
+	// any other pipeline error, so a faulted run never corrupts pooled
+	// storage. Production runs leave this nil.
 	Faults *faultinject.Injector
 }
 
@@ -141,77 +141,30 @@ func Analyze(src string) (*Analysis, error) {
 
 // AnalyzeWith is Analyze with explicit scheduling options.
 func AnalyzeWith(src string, opts Options) (*Analysis, error) {
-	prog, err := sem.AnalyzeSource(src)
-	if err != nil {
-		return nil, fmt.Errorf("sideeffect: %w", err)
-	}
-	return AnalyzeProgramWith(prog.Prune(), opts), nil
+	return AnalyzeContext(context.Background(), src, opts)
 }
 
 // AnalyzeProgram analyzes an already-built program model without
-// pruning.
+// pruning. It panics with the pipeline's error if the analysis fails.
 func AnalyzeProgram(prog *ir.Program) *Analysis {
 	return AnalyzeProgramWith(prog, Options{})
 }
 
 // AnalyzeProgramWith analyzes an already-built program model without
-// pruning, scheduling independent stages according to opts.
-//
-// The stage dependency graph has two layers. Mod, Use, and alias
-// factoring read only the immutable program model, so they run
-// concurrently first. The four derived stages each depend on one or
-// two of those results and on nothing else: SecMod and SecUse consume
-// the Mod result (both section problems are driven by Mod's GMOD sets,
-// which fix symbol invariance), and the final per-call-site sets
-// factor each core result through the alias analysis. All reads of
-// the shared inputs are read-only, so the layer runs with no locking.
+// pruning, scheduling independent stages according to opts. It is
+// AnalyzeProgramContext without a deadline, for callers that want
+// fail-fast behavior: it panics with the pipeline's error.
 func AnalyzeProgramWith(prog *ir.Program, opts Options) *Analysis {
-	a := &Analysis{Prog: prog}
-	if opts.Profile {
-		popts := []prof.Option{prof.WithLabels()}
-		if opts.workers() == 1 {
-			// Allocation deltas come from runtime.ReadMemStats and are
-			// only attributable to a stage when stages run one at a
-			// time.
-			popts = append(popts, prof.CountAllocs())
-		}
-		a.Stages = prof.New(popts...)
-	}
-	w := opts.workers()
-	// The binding graph, its components, the call graph, and the
-	// per-level subgraphs are identical for the Mod and Use problems;
-	// build them once and let both analyses (running concurrently —
-	// the Structure is read-only) share the skeleton.
-	var st *core.Structure
-	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
-	co := core.Options{Alloc: opts.Alloc, Prof: a.Stages, Structure: st, DisableCondensation: opts.DisableCondensation}
-	batch.Run(w, []func(){
-		func() { a.Mod = core.Analyze(prog, core.Mod, co) },
-		func() { a.Use = core.Analyze(prog, core.Use, co) },
-		func() { a.Stages.Do("aliases", func() { a.Aliases = alias.Compute(prog) }) },
-	})
-	a.refreshDerived(opts)
-	return a
+	return must(AnalyzeProgramContext(context.Background(), prog, opts))
 }
 
-// refreshDerived recomputes the second stage layer — both section
-// problems and the alias-factored per-call-site sets — from the
-// current Mod/Use results and alias analysis. Used by the pipeline and
-// by the incremental updater after the core results change.
-func (a *Analysis) refreshDerived(opts Options) {
-	batch.Run(opts.workers(), []func(){
-		func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
-		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
-		// Factored sets share their core Result's lifetime, so they are
-		// drawn from its arena; each arena is touched by exactly one of
-		// these goroutines.
-		func() {
-			a.Stages.Do("factor.mod", func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) })
-		},
-		func() {
-			a.Stages.Do("factor.use", func() { a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena) })
-		},
-	})
+// must unwraps the result of a hardened entry point for the plain
+// forms without an error return, panicking with the error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // Release returns the analysis's arena-backed set storage to a
@@ -250,22 +203,26 @@ type BatchResult struct {
 // in flight, program-level parallelism already saturates the workers,
 // and nesting stage-level goroutines underneath would only oversubscribe
 // the pool. A failed parse disables only that entry; the others are
-// unaffected.
+// unaffected. It is AnalyzeAllContext without a deadline.
 func AnalyzeAll(srcs []string, opts Options) []BatchResult {
-	return batch.Map(opts.workers(), srcs, func(_ int, src string) BatchResult {
-		a, err := AnalyzeWith(src, Options{Sequential: true, Alloc: opts.Alloc})
-		return BatchResult{Analysis: a, Err: err}
-	})
+	return AnalyzeAllContext(context.Background(), srcs, opts)
 }
 
 // AnalyzeAllPrograms is AnalyzeAll for callers that already hold
 // program models: the same bounded worker pool and per-program
 // sequential pipeline, without the parser in front. Programs are
-// analyzed as given (prune first if needed).
+// analyzed as given (prune first if needed). It panics with the joined
+// errors if any analysis fails.
 func AnalyzeAllPrograms(progs []*ir.Program, opts Options) []*Analysis {
-	return batch.Map(opts.workers(), progs, func(_ int, p *ir.Program) *Analysis {
-		return AnalyzeProgramWith(p, Options{Sequential: true, Alloc: opts.Alloc})
-	})
+	return must(analyzeAllPrograms(context.Background(), progs, opts))
+}
+
+// perProgram derives the options each program of a batch runs under:
+// the caller's options with the pipeline forced sequential and Workers
+// cleared, since the batch pool owns the parallelism.
+func (o Options) perProgram() Options {
+	o.Sequential, o.Workers = true, 0
+	return o
 }
 
 // Procedures returns the procedure names in declaration order (main
