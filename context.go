@@ -135,36 +135,34 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	if err = errors.Join(err, modErr, useErr); err != nil {
 		return nil, err
 	}
-	if err = a.refreshDerivedCtx(ctx, opts); err != nil {
+	// Factored sets share their core Result's lifetime, so they are
+	// drawn from its arena.
+	if err = a.derivedCtx(ctx, opts,
+		func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) },
+		func() { a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena) }); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// refreshDerivedCtx recomputes the second stage layer — both section
-// problems and the alias-factored per-call-site sets — from the
-// current Mod/Use results and alias analysis, with cancellation, fault
-// injection, and panic capture. Used by the pipeline and by the
-// incremental updater after the core results change. The derived
-// stages draw from the core results' arenas, so a panic here leaves
-// carve state unknown: the arenas are poisoned before the error is
-// returned, and no later Release can pool them.
-func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
+// derivedCtx runs the second stage layer with cancellation, fault
+// injection, and panic capture: both section problems, recomputed from
+// the Mod result, beside factorMod and factorUse, which bring the
+// factored per-site sets up to date (from scratch in the pipeline, by
+// delta on the incremental path). Each arena is touched by exactly one
+// of the factoring tasks. The derived stages may draw from the core
+// results' arenas, so a panic here leaves carve state unknown: the
+// arenas are poisoned before the error is returned, and no later
+// Release can pool them.
+func (a *Analysis) derivedCtx(ctx context.Context, opts Options, factorMod, factorUse func()) error {
 	if err := opts.Faults.At("sideeffect.derived"); err != nil {
 		return err
 	}
 	err := batch.RunCtx(ctx, opts.workers(), []func(){
 		func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
 		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
-		// Factored sets share their core Result's lifetime, so they are
-		// drawn from its arena; each arena is touched by exactly one of
-		// these goroutines.
-		func() {
-			a.Stages.Do("factor.mod", func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) })
-		},
-		func() {
-			a.Stages.Do("factor.use", func() { a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena) })
-		},
+		func() { a.Stages.Do("factor.mod", factorMod) },
+		func() { a.Stages.Do("factor.use", factorUse) },
 	})
 	var pe *batch.PanicError
 	if errors.As(err, &pe) {
@@ -336,17 +334,7 @@ func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode
 		}
 	}()
 	s.inc.rebase(prog)
-	for _, d := range modAdds {
-		if _, err := s.inc.mod.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, prog, newSrc, true)
-		}
-	}
-	for _, d := range useAdds {
-		if _, err := s.inc.use.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, prog, newSrc, true)
-		}
-	}
-	if err := s.inc.a.refreshDerivedCtx(ctx, s.opts); err != nil {
+	if _, err := s.inc.addFacts(ctx, s.opts, modAdds, useAdds); err != nil {
 		mode, ferr := s.editFullCtx(ctx, prog, newSrc, true)
 		if ferr == nil {
 			return mode, nil

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sort"
 
-	"sideeffect/internal/alias"
+	"sideeffect/internal/binding"
+	"sideeffect/internal/bitset"
+	"sideeffect/internal/callgraph"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 )
@@ -36,11 +38,15 @@ func (e Effect) String() string {
 // programming-environment scenario the paper was built for, where one
 // procedure is recompiled with a new local effect and the environment
 // wants updated summaries without re-running the whole-program
-// analysis. The wrapped Analysis is updated in place: the MOD and USE
-// core results are maintained by delta propagation over the call and
-// binding multi-graphs (internal/core.Incremental), and the derived
-// stages (regular sections, alias-factored per-site sets) are
-// recomputed from the maintained fixpoints, which is linear and cheap.
+// analysis. The wrapped Analysis is updated in place, in proportion to
+// what the edit changes: the MOD and USE core results are maintained by
+// delta propagation over the call and binding multi-graphs
+// (internal/core.Incremental), which also patches the DMOD rows of the
+// affected call sites; the alias pairs are kept, since an additive edit
+// cannot change the bindings they come from; and the factored per-site
+// sets are patched with the bits each site gained and their alias
+// partners. Only the regular sections are recomputed, because a new
+// scalar GMOD bit can change which symbols are invariant.
 //
 // Non-additive edits (deleting statements, adding call sites or
 // variables) are outside this type's contract; Session handles them by
@@ -79,23 +85,9 @@ func (inc *Incremental) Analysis() *Analysis { return inc.a }
 // procedures whose summary sets changed, sorted.
 //
 // The variable must be a scalar visible in proc. Cost is proportional
-// to the part of the program whose solution changes, plus one linear
-// refresh of the derived stages.
+// to the part of the program whose solution changes, plus one
+// recomputation of the regular sections.
 func (inc *Incremental) AddLocalEffect(proc, variable string, effect Effect) ([]string, error) {
-	changed, err := inc.addCore(proc, variable, effect)
-	if err != nil {
-		return nil, err
-	}
-	if err := inc.a.refreshDerivedCtx(context.Background(), inc.opts); err != nil {
-		return nil, err
-	}
-	return changed, nil
-}
-
-// addCore performs the core-result update without refreshing the
-// derived stages, so Session can batch several deltas under a single
-// refresh.
-func (inc *Incremental) addCore(proc, variable string, effect Effect) ([]string, error) {
 	a := inc.a
 	p := a.Prog.Proc(proc)
 	if p == nil {
@@ -108,11 +100,14 @@ func (inc *Incremental) addCore(proc, variable string, effect Effect) ([]string,
 	if v.Rank() != 0 {
 		return nil, fmt.Errorf("sideeffect: incremental effects must be scalar, %s has rank %d", v, v.Rank())
 	}
-	eng := inc.mod
-	if effect == UseEffect {
-		eng = inc.use
+	add := []ir.FactDelta{{Proc: p.ID, Var: v.ID}}
+	var procs []*ir.Procedure
+	var err error
+	if effect == ModEffect {
+		procs, err = inc.addFacts(context.Background(), inc.opts, add, nil)
+	} else {
+		procs, err = inc.addFacts(context.Background(), inc.opts, nil, add)
 	}
-	procs, err := eng.AddLocalEffect(p, v)
 	if err != nil {
 		return nil, err
 	}
@@ -124,23 +119,57 @@ func (inc *Incremental) addCore(proc, variable string, effect Effect) ([]string,
 	return names, nil
 }
 
+// addFacts applies new local facts (IDs in the maintained program) to
+// the MOD and USE core results, then brings the derived stages up to
+// date: the regular sections are recomputed, and each call site whose
+// DMOD row grew has its factored set patched with the gained bits and
+// their alias partners. The alias pairs are unchanged by an additive
+// edit, so factoring the gained bits alone yields the factored set of
+// the grown row. Everything is patched in place; no arena storage is
+// carved. It returns the procedures whose GMOD rows grew, once per fact
+// that grew them.
+func (inc *Incremental) addFacts(ctx context.Context, opts Options, modAdds, useAdds []ir.FactDelta) ([]*ir.Procedure, error) {
+	a := inc.a
+	var procs []*ir.Procedure
+	var grown [2][]core.SiteChange
+	for k, eng := range []*core.Incremental{inc.mod, inc.use} {
+		for _, f := range [][]ir.FactDelta{modAdds, useAdds}[k] {
+			ch, err := eng.AddLocalEffect(a.Prog.Procs[f.Proc], a.Prog.Vars[f.Var])
+			if err != nil {
+				return nil, err
+			}
+			procs = append(procs, ch.Procs...)
+			grown[k] = append(grown[k], ch.Sites...)
+		}
+	}
+	patch := func(sets []*bitset.Set, changes []core.SiteChange) func() {
+		return func() {
+			for _, c := range changes {
+				a.Aliases.FactorInto(sets[c.Site.ID], c.Gained, c.Site.Caller)
+			}
+		}
+	}
+	return procs, a.derivedCtx(ctx, opts, patch(a.ModSets, grown[0]), patch(a.UseSets, grown[1]))
+}
+
 // rebase re-points the maintained results at a reparsed, ID-isomorphic
 // program model (certified by ir.AdditiveDelta) so that reports carry
-// the new source's positions.
+// the new source's positions. The binding multi-graph and the call
+// graph are rebuilt once and shared by both problems, as in a fresh
+// analysis. The alias pairs are kept: they depend only on the call
+// sites, arguments, formals, nesting and owners, which the isomorphism
+// preserves, and they are keyed by ID.
 func (inc *Incremental) rebase(prog *ir.Program) {
-	inc.mod.Rebase(prog)
-	inc.use.Rebase(prog)
+	beta, cg := binding.Build(prog), callgraph.Build(prog)
+	inc.mod.Rebase(prog, beta, cg)
+	inc.use.Rebase(prog, beta, cg)
 	inc.a.Prog = prog
-	// Alias pairs depend only on the binding structure, which the
-	// isomorphism preserves; recomputing keeps the analysis free of
-	// stale model pointers and is linear.
-	inc.a.Aliases = alias.Compute(prog)
+	inc.a.Aliases.Rebase(prog)
 }
 
 // AddLocalEffect is a one-shot convenience for
-// NewIncremental(a).AddLocalEffect. For a sequence of edits, keep one
-// Incremental (or a Session) instead of calling this repeatedly: the
-// wrapper construction scans the call sites each time.
+// NewIncremental(a).AddLocalEffect. The wrapper is cheap to build, so
+// calling this once per edit costs no more than keeping an Incremental.
 func (a *Analysis) AddLocalEffect(proc, variable string, effect Effect) ([]string, error) {
 	return NewIncremental(a).AddLocalEffect(proc, variable, effect)
 }

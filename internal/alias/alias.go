@@ -211,21 +211,42 @@ func (a *Analysis) FactorArena(dmod []*bitset.Set, ar *arena.Arena) []*bitset.Se
 	for _, cs := range a.Prog.Sites {
 		d := dmod[cs.ID]
 		m := ar.Clone(d)
-		// Iterate the (typically tiny) alias adjacency, not the DMOD
-		// elements: per aliased variable one membership test replaces a
-		// map lookup per DMOD element. Membership is tested against the
-		// input set, so map order cannot matter.
-		for x, ys := range a.adj[cs.Caller.ID] {
-			if d.Has(x) {
-				for _, y := range ys {
-					m.Add(int(y))
-				}
-			}
-		}
+		a.addPartners(m, d, cs.Caller.ID)
 		out[cs.ID] = m
 	}
 	return out
 }
+
+// FactorInto adds d and every variable aliased in caller to a member
+// of d to dst, in place. Factoring distributes over union, so a
+// factored row whose DMOD row grew by d is brought up to date by
+// FactorInto(row, d, caller): the incremental path's per-site patch.
+func (a *Analysis) FactorInto(dst, d *bitset.Set, caller *ir.Procedure) {
+	dst.UnionWith(d)
+	a.addPartners(dst, d, caller.ID)
+}
+
+// addPartners is the factoring rule of one row: it adds to dst the
+// alias partners, in procedure pid, of every member of d. It iterates
+// the (typically tiny) alias adjacency, not the elements of d: per
+// aliased variable one membership test replaces a map lookup per
+// element. Membership is tested against d, so map order cannot matter.
+func (a *Analysis) addPartners(dst, d *bitset.Set, pid int) {
+	for x, ys := range a.adj[pid] {
+		if d.Has(x) {
+			for _, y := range ys {
+				dst.Add(int(y))
+			}
+		}
+	}
+}
+
+// Rebase re-points the analysis at prog, a program with the same IDs
+// for every call site, argument, formal, nesting link and variable
+// owner as the one it was computed for (ir.AdditiveDelta certifies
+// this). Those are everything Compute reads, and the pair sets are
+// keyed by ID, so the solution carries over unchanged.
+func (a *Analysis) Rebase(prog *ir.Program) { a.Prog = prog }
 
 // ComputeMOD is the complete Section 5 pipeline: given a core result
 // (DMOD plus the supporting sets), produce final MOD (or USE) sets per

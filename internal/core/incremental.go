@@ -27,40 +27,49 @@ import (
 // as well.
 type Incremental struct {
 	res *Result
-	// callersOf[q] lists the call sites invoking q.
-	callersOf [][]*ir.CallSite
 }
 
 // NewIncremental wraps an existing analysis result for incremental
 // maintenance. The result must have been produced by Analyze (it needs
-// Facts, Beta, RMOD, IMODPlus, GMOD, and DMOD populated) and is
+// Facts, Beta, CG, RMOD, IMODPlus, GMOD, and DMOD populated) and is
 // updated in place.
 func NewIncremental(res *Result) *Incremental {
-	inc := &Incremental{
-		res:       res,
-		callersOf: make([][]*ir.CallSite, res.Prog.NumProcs()),
-	}
-	for _, cs := range res.Prog.Sites {
-		inc.callersOf[cs.Callee.ID] = append(inc.callersOf[cs.Callee.ID], cs)
-	}
-	return inc
+	return &Incremental{res: res}
 }
 
 // Result returns the maintained result.
 func (inc *Incremental) Result() *Result { return inc.res }
 
+// Change is what one AddLocalEffect did to the maintained result.
+type Change struct {
+	// Procs lists the procedures whose GMOD rows grew.
+	Procs []*ir.Procedure
+	// Sites lists the call sites whose DMOD rows grew, each once.
+	Sites []SiteChange
+}
+
+// SiteChange is one call site's DMOD growth: Gained holds exactly the
+// bits the row did not have before. Downstream per-site sets that are
+// union-distributive in DMOD (alias factoring) can be patched from it.
+type SiteChange struct {
+	Site   *ir.CallSite
+	Gained *bitset.Set
+}
+
 // AddLocalEffect records that procedure p now directly modifies (for a
 // Mod result) or uses (for a Use result) variable v, and updates every
-// affected set. It returns the procedures whose GMOD sets changed.
+// affected set: RMOD, IMOD+, GMOD, and the DMOD rows of the affected
+// call sites. It reports the procedures whose GMOD rows grew and the
+// bits each call site's DMOD row gained.
 //
 // v must be visible in p. Cost is proportional to the part of the
-// program whose solution changes (plus the RMOD closure when v is a
-// by-reference formal).
-func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.Procedure, error) {
+// program whose solution changes: the β nodes that turn true, the
+// procedures whose GMOD grows, and the call sites invoking either.
+func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) (Change, error) {
 	res := inc.res
 	prog := res.Prog
 	if !p.Visible(v) {
-		return nil, fmt.Errorf("core: incremental: %s is not visible in %s", v, p.Name)
+		return Change{}, fmt.Errorf("core: incremental: %s is not visible in %s", v, p.Name)
 	}
 	// Update the stored raw fact on the procedure (so a later full
 	// re-analysis agrees) and the extended facts up the nesting chain.
@@ -89,36 +98,28 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 	}
 	delta(p.ID).Add(v.ID)
 
+	var turned []*ir.Variable // formals whose RMOD turned true
 	if n := res.Beta.NodeOf[v.ID]; n >= 0 && !res.RMOD.Node[n] {
 		// Reverse reachability on β from n over still-false nodes.
 		stack := []int{n}
 		res.RMOD.Node[n] = true
-		var turned []int
-		turned = append(turned, n)
 		for len(stack) > 0 {
 			m := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			turned = append(turned, res.Beta.Nodes[m])
 			for _, e := range res.Beta.G.Preds(m) {
 				if !res.RMOD.Node[e.From] {
 					res.RMOD.Node[e.From] = true
-					turned = append(turned, e.From)
 					stack = append(stack, e.From)
 				}
 			}
 		}
 		// Newly-true formals: their bound actuals join the callers'
 		// IMOD+ deltas (equation 5).
-		turnedSet := make(map[int]bool, len(turned))
-		for _, m := range turned {
-			turnedSet[m] = true
-		}
-		for _, cs := range prog.Sites {
-			for i, a := range cs.Args {
-				if a.Mode != ir.FormalRef || a.Var == nil {
-					continue
-				}
-				fn := res.Beta.NodeOf[cs.Callee.Formals[i].ID]
-				if fn >= 0 && turnedSet[fn] {
+		for _, f := range turned {
+			for _, e := range res.CG.G.Preds(f.Owner.ID) {
+				cs := prog.Sites[e.ID]
+				if a := cs.Args[f.Ordinal]; a.Mode == ir.FormalRef && a.Var != nil {
 					delta(cs.Caller.ID).Add(a.Var.ID)
 				}
 			}
@@ -143,78 +144,104 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 		}
 	}
 
-	changedSet := map[int]bool{}
-	queue := []int{}
+	// gained[q] collects the bits GMOD(q) gains; order lists the
+	// procedures with a gain, in first-gain order, and is the worklist
+	// seed.
+	gained := make([]*bitset.Set, prog.NumProcs())
+	var order []int
+	gain := func(pid, id int) {
+		if gained[pid] == nil {
+			gained[pid] = bitset.NewSparse()
+			order = append(order, pid)
+		}
+		gained[pid].Add(id)
+		res.GMOD[pid].Add(id)
+	}
 	for pid, d := range newPlus {
 		if d == nil || d.Empty() {
 			continue
 		}
 		res.IMODPlus[pid].UnionWith(d)
-		if res.GMOD[pid].UnionInPlaceCount(d) > 0 {
-			changedSet[pid] = true
-			queue = append(queue, pid)
-		}
+		d.ForEach(func(id int) {
+			if !res.GMOD[pid].Has(id) {
+				gain(pid, id)
+			}
+		})
 	}
 	// Backward propagation of new GMOD bits along call edges: a
 	// worklist on equation (4) seeded with only the changed
-	// procedures. Two filters apply per edge, matching the multi-level
-	// semantics: the callee's LOCAL set, and the activation rule that
-	// a class-i variable cannot survive an edge whose callee sits at a
-	// level shallower than i (the call would create a fresh
-	// activation).
+	// procedures. The old solution is a fixpoint, so only a callee's
+	// gained bits can be new to its callers. Two filters apply per
+	// edge, matching the multi-level semantics: the callee's LOCAL set,
+	// and the activation rule that a class-i variable cannot survive
+	// an edge whose callee sits at a level shallower than i (the call
+	// would create a fresh activation).
 	inQ := make([]bool, prog.NumProcs())
-	wl := append([]int(nil), queue...)
+	wl := append([]int(nil), order...)
 	for _, pid := range wl {
 		inQ[pid] = true
-	}
-	classOK := func(v *ir.Variable, calleeLevel int) bool {
-		return v.ScopeLevel() <= calleeLevel
 	}
 	for len(wl) > 0 {
 		qid := wl[0]
 		wl = wl[1:]
 		inQ[qid] = false
-		for _, cs := range inc.callersOf[qid] {
-			pid := cs.Caller.ID
-			// new = GMOD(q) ∖ LOCAL(q), class-filtered, minus what the
-			// caller already has. The temporary is pooled scratch —
-			// this loop runs once per affected call edge and used to
-			// be the updater's dominant allocation site.
-			add := bitset.GetScratch(0).CopyFrom(res.GMOD[qid])
-			add.DifferenceWith(res.Facts.Local[qid])
-			add.DifferenceWith(res.GMOD[pid])
-			if add.Empty() {
-				bitset.PutScratch(add)
-				continue
-			}
+		q := prog.Procs[qid]
+		for _, e := range res.CG.G.Preds(qid) {
+			pid := prog.Sites[e.ID].Caller.ID
 			changed := false
-			add.ForEach(func(id int) {
-				if classOK(prog.Vars[id], cs.Callee.Level) {
-					res.GMOD[pid].Add(id)
+			gained[qid].ForEach(func(id int) {
+				if !res.Facts.Local[qid].Has(id) && prog.Vars[id].ScopeLevel() <= q.Level &&
+					!res.GMOD[pid].Has(id) {
+					gain(pid, id)
 					changed = true
 				}
 			})
-			bitset.PutScratch(add)
-			if changed {
-				changedSet[pid] = true
-				if !inQ[pid] {
-					inQ[pid] = true
-					wl = append(wl, pid)
-				}
+			if changed && !inQ[pid] {
+				inQ[pid] = true
+				wl = append(wl, pid)
 			}
 		}
 	}
-	// Refresh DMOD. Recomputing one row is a single union plus arity
-	// work, and RMOD growth can affect sites of unchanged callees, so
-	// refresh every row (still linear; a production environment would
-	// index sites by formal to narrow this further).
-	res.DMOD = ComputeDMOD(prog, res.RMOD, res.GMOD, res.Facts)
 
-	out := make([]*ir.Procedure, 0, len(changedSet))
-	for pid := range changedSet {
-		out = append(out, prog.Procs[pid])
+	// Patch DMOD (equation 2) at the affected sites only: a site's row
+	// grows by its callee's gained bits outside LOCAL(callee), and by
+	// the actual bound to each formal that turned RMOD-true.
+	var ch Change
+	at := map[int]int{} // site ID → index in ch.Sites
+	patch := func(cs *ir.CallSite, id int) {
+		row := res.DMOD[cs.ID]
+		if row.Has(id) {
+			return
+		}
+		row.Add(id)
+		i, ok := at[cs.ID]
+		if !ok {
+			i = len(ch.Sites)
+			at[cs.ID] = i
+			ch.Sites = append(ch.Sites, SiteChange{Site: cs, Gained: bitset.NewSparse()})
+		}
+		ch.Sites[i].Gained.Add(id)
 	}
-	return out, nil
+	for _, qid := range order {
+		ch.Procs = append(ch.Procs, prog.Procs[qid])
+		for _, e := range res.CG.G.Preds(qid) {
+			cs := prog.Sites[e.ID]
+			gained[qid].ForEach(func(id int) {
+				if !res.Facts.Local[qid].Has(id) {
+					patch(cs, id)
+				}
+			})
+		}
+	}
+	for _, f := range turned {
+		for _, e := range res.CG.G.Preds(f.Owner.ID) {
+			cs := prog.Sites[e.ID]
+			if a := cs.Args[f.Ordinal]; a.Mode == ir.FormalRef && a.Var != nil {
+				patch(cs, a.Var.ID)
+			}
+		}
+	}
+	return ch, nil
 }
 
 // Invalidate recomputes the full analysis (used after non-additive
@@ -234,23 +261,20 @@ func (inc *Incremental) Invalidate() {
 // — but may carry different source positions and additional local
 // facts. The solved fixpoints (RMOD, IMOD+, GMOD, DMOD) are kept
 // as-is: they are pure ID-indexed sets and remain valid under the
-// isomorphism. The linear auxiliary structures that hold pointers into
-// the program model (binding multi-graph, call graph, caller index)
-// are rebuilt from prog, which preserves β-node numbering because
-// nodes are enumerated in procedure/formal declaration order.
+// isomorphism. beta and cg must be binding.Build(prog) and
+// callgraph.Build(prog); they hold pointers into the program model, and
+// a caller maintaining both problems builds them once for the two.
+// β-node numbering is preserved because nodes are enumerated in
+// procedure/formal declaration order.
 //
 // Rebase does not apply the new facts; call AddLocalEffect for each
 // delta afterwards. Passing a program that is not ID-isomorphic to the
 // current one corrupts the result.
-func (inc *Incremental) Rebase(prog *ir.Program) {
+func (inc *Incremental) Rebase(prog *ir.Program, beta *binding.Beta, cg *callgraph.CallGraph) {
 	res := inc.res
 	res.Prog = prog
 	res.Facts.Prog = prog
-	res.Beta = binding.Build(prog)
-	res.RMOD.Beta = res.Beta
-	res.CG = callgraph.Build(prog)
-	inc.callersOf = make([][]*ir.CallSite, prog.NumProcs())
-	for _, cs := range prog.Sites {
-		inc.callersOf[cs.Callee.ID] = append(inc.callersOf[cs.Callee.ID], cs)
-	}
+	res.Beta = beta
+	res.RMOD.Beta = beta
+	res.CG = cg
 }

@@ -101,7 +101,7 @@ func TestIncrementalRMODChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changed) == 0 {
+	if len(changed.Procs) == 0 {
 		t.Fatal("no procedures changed")
 	}
 	for i := 0; i < 10; i++ {
@@ -161,8 +161,8 @@ func TestIncrementalIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changed) != 0 {
-		t.Errorf("re-adding the same fact changed %d procedures", len(changed))
+	if len(changed.Procs) != 0 {
+		t.Errorf("re-adding the same fact changed %d procedures", len(changed.Procs))
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 // the next request for that content is served warm.
 func (ix *Indexer) process(b *batch) {
 	ix.mu.Lock()
-	ix.stats.Batches++
 	// Deletions: drop the processed view now; remember old keys for
 	// rename matching. A path created and deleted inside one batch has
 	// no processed view and is skipped outright.
@@ -67,6 +66,11 @@ func (ix *Indexer) process(b *batch) {
 	if ix.cfg.GoModule && b.touchesGo(ix.exts) {
 		ix.analyzeModule()
 	}
+	// Counted only once the batch is fully absorbed, so a reader that
+	// sees a batch also sees every analysis it ran.
+	ix.mu.Lock()
+	ix.stats.Batches++
+	ix.mu.Unlock()
 	ix.logf("indexer: batch: %d changed, %d deleted", len(b.changed), len(b.deleted))
 }
 
