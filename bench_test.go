@@ -366,13 +366,21 @@ func BenchmarkAnalyzeParallelStages(b *testing.B) {
 // tracks the findings emitted, not the procedure count (the per-op
 // times here divided by the finding counts E15 reports stay flat).
 func BenchmarkLint(b *testing.B) {
-	for _, n := range []int{64, 512} {
-		src := workload.Emit(workload.Random(workload.DefaultConfig(n, int64(300+n))))
-		a, err := AnalyzeWith(src, Options{Sequential: true})
+	for _, c := range []struct {
+		n, depth int
+	}{{64, 0}, {512, 0}, {4096, 2}} {
+		cfg := workload.DefaultConfig(c.n, int64(300+c.n))
+		name := fmt.Sprintf("N=%d", c.n)
+		if c.depth > 0 {
+			// The scale-lib shape: nested procedures, SE003-dominated.
+			cfg.MaxDepth, cfg.NestFraction = c.depth, 0.3
+			name = fmt.Sprintf("nested/N=%d", c.n)
+		}
+		a, err := AnalyzeWith(workload.Emit(workload.Random(cfg)), Options{Sequential: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := a.Lint(lint.Config{}); err != nil {
 					b.Fatal(err)

@@ -110,6 +110,14 @@ func expE15(quick bool) {
 		src := workload.Emit(workload.Random(workload.DefaultConfig(n, int64(300+n))))
 		addRow(fmt.Sprintf("random N=%d", n), n, src)
 	}
+	if !quick {
+		// The scale-lib shape (nesting depth 2), where SE003 dominates
+		// the findings. A row at N=16384 is left out: its analyses,
+		// timed beside the kept result, pass 4.5 GB of RSS.
+		cfg := workload.DefaultConfig(4096, 300+4096)
+		cfg.MaxDepth, cfg.NestFraction = 2, 0.3
+		addRow("nested N=4096", 4096, workload.Emit(workload.Random(cfg)))
+	}
 
 	printTable(rows)
 	if err := writeBenchLint(records); err != nil {
@@ -117,7 +125,8 @@ func expE15(quick bool) {
 		return
 	}
 	fmt.Println("\nRecords written to BENCH_lint.json.")
-	fmt.Println("Claim check: the engine never reruns propagation — its cost is dominated by" +
-		" the findings it emits, so per-finding time stays flat (single-digit µs) as the" +
-		" program grows; overhead relative to analysis tracks the finding yield, not N.")
+	fmt.Println("Claim check: the engine never reruns propagation and reads each fact once" +
+		" (program-wide live sets are built once per run), so its cost tracks the findings" +
+		" it emits: per-finding time stays within about 2× across the sizes above;" +
+		" overhead relative to analysis tracks the finding yield, not N.")
 }

@@ -668,6 +668,30 @@ func (s *Set) ForEach(f func(int)) {
 	}
 }
 
+// Any calls f for each element in increasing order until f returns
+// true, and reports whether it did. Elements after the first match are
+// not visited.
+func (s *Set) Any(f func(int) bool) bool {
+	if s.sparse {
+		for _, e := range s.elems {
+			if f(int(e)) {
+				return true
+			}
+		}
+		return false
+	}
+	for wi, w := range s.words {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			if f(wi*wordBits + b) {
+				return true
+			}
+			w &= w - 1
+		}
+	}
+	return false
+}
+
 // String renders the set as "{1, 5, 9}".
 func (s *Set) String() string {
 	var b strings.Builder

@@ -338,3 +338,52 @@ func TestHybridOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestAny covers early-stopping iteration in both representations and
+// across the sparse-to-dense promotion boundary: elements are visited
+// in increasing order, the callback is never called after its first
+// true, and an empty set never calls it at all.
+func TestAny(t *testing.T) {
+	atBoundary := make([]int, SparseMax) // fills a sparse set exactly
+	for i := range atBoundary {
+		atBoundary[i] = i * 5
+	}
+	pastBoundary := append(append([]int(nil), atBoundary...), 4000) // promotes
+	cases := []struct {
+		name       string
+		set        *Set
+		elems      []int
+		wantSparse bool
+	}{
+		{"empty sparse", NewSparse(), nil, true},
+		{"empty dense", New(256), nil, false},
+		{"zero value", &Set{}, nil, false},
+		{"sparse", sparseFromSlice([]int{40, 3, 17}), []int{3, 17, 40}, true},
+		{"dense", FromSlice([]int{300, 5, 64, 63, 70}), []int{5, 63, 64, 70, 300}, false},
+		{"sparse at SparseMax", sparseFromSlice(atBoundary), atBoundary, true},
+		{"promoted past SparseMax", sparseFromSlice(pastBoundary), pastBoundary, false},
+	}
+	for _, c := range cases {
+		if c.set.IsSparse() != c.wantSparse {
+			t.Fatalf("%s: IsSparse = %v, want %v", c.name, c.set.IsSparse(), c.wantSparse)
+		}
+		// Never true: every element is visited, in increasing order.
+		var seen []int
+		if c.set.Any(func(i int) bool { seen = append(seen, i); return false }) {
+			t.Errorf("%s: Any reported a match for an always-false callback", c.name)
+		}
+		if !reflect.DeepEqual(seen, c.elems) && len(seen)+len(c.elems) > 0 {
+			t.Errorf("%s: visited %v, want %v", c.name, seen, c.elems)
+		}
+		// Stop at each element in turn: nothing after it is visited.
+		for k, stop := range c.elems {
+			seen = seen[:0]
+			if !c.set.Any(func(i int) bool { seen = append(seen, i); return i == stop }) {
+				t.Errorf("%s: Any missed element %d", c.name, stop)
+			}
+			if !reflect.DeepEqual(seen, c.elems[:k+1]) {
+				t.Errorf("%s: stopping at %d visited %v, want %v", c.name, stop, seen, c.elems[:k+1])
+			}
+		}
+	}
+}

@@ -18,8 +18,10 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"sideeffect/internal/alias"
 	"sideeffect/internal/bitset"
@@ -164,22 +166,44 @@ func Run(in *Input, cfg Config) (*Report, error) {
 
 // sortDiagnostics imposes the engine's total order: position first
 // (line, then column), then rule ID, then subject and message as
-// tie-breakers for co-located findings.
+// tie-breakers for co-located findings, then emission order. It sorts
+// an index permutation, so no comparison moves a Diagnostic, and then
+// applies the permutation in place, one cycle at a time.
 func sortDiagnostics(ds []Diagnostic) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
+	idx := make([]int, len(ds))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(i, j int) int {
+		a, b := &ds[i], &ds[j]
+		if c := cmp.Compare(a.Pos.Line, b.Pos.Line); c != 0 {
+			return c
 		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
+		if c := cmp.Compare(a.Pos.Col, b.Pos.Col); c != 0 {
+			return c
 		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
+		if c := strings.Compare(a.Rule, b.Rule); c != 0 {
+			return c
 		}
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
+		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+			return c
 		}
-		return a.Message < b.Message
+		if c := strings.Compare(a.Message, b.Message); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
 	})
+	// Position k receives ds[idx[k]]; a visited slot is marked idx[k] = k.
+	for k := range idx {
+		if idx[k] == k {
+			continue
+		}
+		tmp, j := ds[k], k
+		for idx[j] != k {
+			next := idx[j]
+			ds[j], idx[j] = ds[next], j
+			j = next
+		}
+		ds[j], idx[j] = tmp, j
+	}
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,6 +110,35 @@ func TestSortDiagnostics(t *testing.T) {
 	want := []string{"SE007:i", "SE001:a", "SE001:x", "SE002:p", "SE004:g"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("order = %v, want %v", got, want)
+	}
+
+	// Findings that tie on every key and differ only in Proc keep their
+	// emission order. Real runs produce such ties: SE005's message does
+	// not name the caller, and builder-made programs carry zero
+	// positions. More than 12 ties take an unstable sort past its
+	// insertion-sort cutoff, where it would reorder them.
+	const ties = 40
+	ds = ds[:0]
+	var wantProcs []string
+	for i := 0; i < ties; i++ {
+		proc := fmt.Sprintf("p%02d", (i*17)%ties) // emission order differs from name order
+		wantProcs = append(wantProcs, proc)
+		ds = append(ds,
+			Diagnostic{Rule: "SE005", Proc: proc, Subject: "q", Message: "call to q modifies only {g}"},
+			d(ties-i, 1, "SE001", "x"), // interleaved non-ties, emitted in reverse position order
+		)
+	}
+	sortDiagnostics(ds)
+	var gotProcs []string
+	for i, x := range ds {
+		if i < ties {
+			gotProcs = append(gotProcs, x.Proc)
+		} else if x.Pos.Line != i-ties+1 {
+			t.Fatalf("entry %d at line %d, want %d", i, x.Pos.Line, i-ties+1)
+		}
+	}
+	if !reflect.DeepEqual(gotProcs, wantProcs) {
+		t.Errorf("tied findings reordered:\n got %v\nwant %v", gotProcs, wantProcs)
 	}
 }
 

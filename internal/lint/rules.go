@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"sideeffect/internal/bitset"
 	"sideeffect/internal/ir"
 	"sideeffect/internal/report"
 )
@@ -102,14 +103,11 @@ func rulePureProcedure(in *Input, emit func(Diagnostic)) {
 		if p.IsMain {
 			continue
 		}
-		pure := true
-		in.Mod.GMOD[p.ID].ForEach(func(id int) {
+		visible := in.Mod.GMOD[p.ID].Any(func(id int) bool {
 			v := in.Prog.Vars[id]
-			if v.Owner != p || v.Kind == ir.FormalRef {
-				pure = false
-			}
+			return v.Owner != p || v.Kind == ir.FormalRef
 		})
-		if pure {
+		if !visible {
 			emit(Diagnostic{
 				Proc: p.Name, Subject: p.Name, Pos: p.Pos,
 				Message: fmt.Sprintf("procedure %s has no caller-visible side effects (GMOD∪RMOD empty); calls to it may be reordered or parallelized",
@@ -142,10 +140,13 @@ func ruleAliasHazard(in *Input, emit func(Diagnostic)) {
 				default:
 					continue
 				}
+				// Concatenation, not fmt: this rule emits the most
+				// findings by far, and the message is its main cost.
 				emit(Diagnostic{
 					Proc: p.Name, Subject: hit.Name, Pos: cs.Pos,
-					Message: fmt.Sprintf("%s and %s may be aliased on entry to %s and the call to %s may modify %s; writes are visible through both names (MOD widens to include %s)",
-						x, y, p.Name, cs.Callee.Name, hit, other),
+					Message: x.String() + " and " + y.String() + " may be aliased on entry to " + p.Name +
+						" and the call to " + cs.Callee.Name + " may modify " + hit.String() +
+						"; writes are visible through both names (MOD widens to include " + other.String() + ")",
 				})
 			}
 		}
@@ -155,15 +156,9 @@ func ruleAliasHazard(in *Input, emit func(Diagnostic)) {
 // ruleDeadGlobal flags globals that appear in no procedure's GMOD or
 // GUSE: nothing reachable ever modifies or reads them.
 func ruleDeadGlobal(in *Input, emit func(Diagnostic)) {
+	live := unionRows(in.Prog, in.Mod.GMOD, in.Use.GMOD)
 	for _, g := range in.Prog.Globals() {
-		live := false
-		for _, p := range in.Prog.Procs {
-			if in.Mod.GMOD[p.ID].Has(g.ID) || in.Use.GMOD[p.ID].Has(g.ID) {
-				live = true
-				break
-			}
-		}
-		if !live {
+		if !live.Has(g.ID) {
 			emit(Diagnostic{
 				Subject: g.Name, Pos: g.Pos,
 				Message: fmt.Sprintf("global %s is never modified or used by any procedure (absent from every GMOD and GUSE); it can be removed",
@@ -182,41 +177,29 @@ func ruleDeadGlobal(in *Input, emit func(Diagnostic)) {
 // textually before the call also count, which only suppresses
 // findings, never fabricates them.
 func ruleIgnorableCall(in *Input, emit func(Diagnostic)) {
+	used := unionRows(in.Prog, in.Use.GMOD) // every use anywhere in the program
 	for _, p := range in.Prog.Procs {
 		for _, cs := range p.Calls {
 			mod := in.ModSets[cs.ID]
 			if mod.Empty() {
 				continue // no effects at all: SE002 territory
 			}
-			dead := true
-			mod.ForEach(func(id int) {
-				if !dead {
-					return
-				}
-				v := in.Prog.Vars[id]
+			live := mod.Any(func(id int) bool {
 				if p.IUSE.Has(id) {
-					dead = false
-					return
+					return true
 				}
 				for _, other := range p.Calls {
 					if other != cs && in.UseSets[other.ID].Has(id) {
-						dead = false
-						return
+						return true
 					}
 				}
 				// v outlives p's frame (a global, an outer-scope
 				// variable, or a ref formal bound to a caller's
 				// variable): it must be unused program-wide.
-				if v.Owner != p || v.Kind == ir.FormalRef {
-					for _, q := range in.Prog.Procs {
-						if in.Use.GMOD[q.ID].Has(id) {
-							dead = false
-							return
-						}
-					}
-				}
+				v := in.Prog.Vars[id]
+				return (v.Owner != p || v.Kind == ir.FormalRef) && used.Has(id)
 			})
-			if dead {
+			if !live {
 				emit(Diagnostic{
 					Proc: p.Name, Subject: cs.Callee.Name, Pos: cs.Pos,
 					Message: fmt.Sprintf("call to %s modifies only %s, none of which is ever used afterwards; the call's effects are dead",
@@ -225,6 +208,20 @@ func ruleIgnorableCall(in *Input, emit func(Diagnostic)) {
 			}
 		}
 	}
+}
+
+// unionRows returns the union of every procedure's row in the given
+// per-procedure summaries (GMOD, GUSE): the program-wide set, built
+// once per run so a membership test is one lookup, not a scan over all
+// procedures.
+func unionRows(prog *ir.Program, summaries ...[]*bitset.Set) *bitset.Set {
+	u := bitset.New(len(prog.Vars))
+	for _, rows := range summaries {
+		for _, p := range prog.Procs {
+			u.UnionWith(rows[p.ID])
+		}
+	}
+	return u
 }
 
 // ruleLoopParallel surfaces positive Section-6 verdicts: the regular

@@ -29,6 +29,11 @@ func (a *Analysis) Lint(cfg lint.Config) (*lint.Report, error) {
 	if cfg.Prof == nil {
 		cfg.Prof = a.Stages
 	}
+	return lint.Run(a.lintInput(), cfg)
+}
+
+// lintInput bundles the analysis facts the diagnostics engine reads.
+func (a *Analysis) lintInput() *lint.Input {
 	in := &lint.Input{
 		Prog:    a.Prog,
 		Mod:     a.Mod,
@@ -48,5 +53,5 @@ func (a *Analysis) Lint(cfg lint.Config) (*lint.Report, error) {
 			Sections:  v.Sections,
 		})
 	}
-	return lint.Run(in, cfg)
+	return in
 }
